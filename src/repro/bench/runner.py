@@ -13,7 +13,7 @@ records that as ``"agreement": false`` (which ``tools/check_bench.py``
 treats as a hard failure).
 
 Rows carry a ``phase`` marker: ``"warmup"`` rows time the first call
-against cold state (empty process pool, empty derived-state cache) and
+against cold state (an empty process pool) and
 ``"steady"`` rows time the warmed path — the perf gate compares like with
 like instead of mixing pool spin-up into steady-state numbers.  Batched
 rows additionally record ``bucket_sizes``, the post-coalescing length
@@ -38,10 +38,10 @@ from typing import Any, Dict, List, Optional, Sequence, Union
 
 from repro.core.annotator import C2MNAnnotator
 from repro.core.config import C2MNConfig
-from repro.crf.batch import bucket_indices
+from repro.crf.batch import plan_batch
 from repro.evaluation.experiments import ExperimentScale, build_real_style_dataset
 from repro.mobility.dataset import train_test_split
-from repro.runtime import ExecutionPolicy, sequence_fingerprint, shutdown_pools
+from repro.runtime import ExecutionPolicy, shutdown_pools
 from repro.scenarios import materialize as materialize_scenario
 from repro.scenarios import scenario_names
 
@@ -135,25 +135,16 @@ def _best_of(repeats: int, func) -> float:
 
 def _unique_count(sequences) -> int:
     """Distinct sequences by content fingerprint (the coalescing unit)."""
-    return len({sequence_fingerprint(sequence) for sequence in sequences})
+    return len(plan_batch(sequences).uniques)
 
 
 def _bucket_layout(sequences, policy: ExecutionPolicy) -> List[int]:
     """The bucket sizes a batched run dispatches after duplicate coalescing.
 
-    Mirrors the coalesce-then-bucket pipeline of
-    :meth:`repro.core.protocol.AnnotatorBase._map_buckets` so the report
-    records exactly how the batch was carved up.
+    Uses the same :func:`repro.crf.batch.plan_batch` plan ``annotate_many``
+    runs, so the report records exactly how the batch was carved up.
     """
-    seen = set()
-    lengths = []
-    for sequence in sequences:
-        key = sequence_fingerprint(sequence)
-        if key not in seen:
-            seen.add(key)
-            lengths.append(len(sequence))
-    buckets = bucket_indices(lengths, policy.effective_bucket_size(len(lengths)))
-    return [len(bucket) for bucket in buckets]
+    return [len(bucket) for bucket in plan_batch(sequences, policy).buckets]
 
 
 def run_runtime_benchmarks(
@@ -167,12 +158,10 @@ def run_runtime_benchmarks(
 
     The reference row is the unbatched serial ``annotate_many`` pass — the
     per-sequence loop that predates batching.  Against it the suite times
-    the batched serial decoder, the thread and process policies (the
-    process rows split into a cold-pool ``warmup`` row and a warm-pool
-    ``steady`` row), and a cold/warm pass with the derived-state cache
-    attached.  Every variant is asserted bitwise identical to the
-    reference labels, and the report packages the environment metadata
-    the CI artifact needs.
+    the batched serial decoder and the process policy (split into a
+    cold-pool ``warmup`` row and a warm-pool ``steady`` row).  Every
+    variant is asserted bitwise identical to the reference labels, and the
+    report packages the environment metadata the CI artifact needs.
     """
     if workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers}")
@@ -181,7 +170,6 @@ def run_runtime_benchmarks(
 
     reference_policy = ExecutionPolicy.serial(batch=False)
     batched_policy = ExecutionPolicy.serial()
-    thread_policy = ExecutionPolicy.threads(workers)
     process_policy = ExecutionPolicy.processes(workers)
 
     # Warm the shared geometry caches (distance oracle, candidate queries) so
@@ -223,16 +211,6 @@ def run_runtime_benchmarks(
     record("annotate_many_batched", "serial", 1, batched_seconds, serial_seconds,
            batched_out[-1], bucket_sizes=_bucket_layout(decode, batched_policy))
 
-    thread_out: List[Any] = []
-    thread_seconds = _best_of(
-        repeats,
-        lambda: thread_out.append(
-            annotator.annotate_many(decode, policy=thread_policy)
-        ),
-    )
-    record("annotate_many", "thread", workers, thread_seconds, serial_seconds,
-           thread_out[-1], bucket_sizes=_bucket_layout(decode, thread_policy))
-
     # Process rows come in a pair: the warmup row pays pool spawn plus the
     # shared-memory broadcast from a cold start, the steady row reuses the
     # persistent pool and the per-worker unpickled annotator.
@@ -252,25 +230,6 @@ def run_runtime_benchmarks(
     )
     record("annotate_many", "process", workers, process_seconds, serial_seconds,
            process_out[-1], bucket_sizes=_bucket_layout(decode, process_policy))
-
-    # Derived-state cache: the "cold" pass starts empty (later replicas of a
-    # sequence already hit within the batch), the warm pass hits throughout.
-    # Both run unbatched — batching's duplicate coalescing would otherwise
-    # hide exactly the repeated traffic the cache rows are measuring.
-    cached = bench_annotator(annotator.space)
-    cached.enable_cache(max_entries=4 * len(decode))
-    cached._restore_weights(annotator.weights)
-    cold_start = time.perf_counter()
-    cold_labels = cached.annotate_many(decode, policy=reference_policy)
-    cold_seconds = time.perf_counter() - cold_start
-    record("annotate_many_cached_cold", "serial", 1, cold_seconds, serial_seconds,
-           cold_labels, phase="warmup")
-    warm_seconds = _best_of(
-        repeats, lambda: cached.annotate_many(decode, policy=reference_policy)
-    )
-    warm_labels = cached.annotate_many(decode, policy=reference_policy)
-    record("annotate_many_cached_warm", "serial", 1, warm_seconds, serial_seconds,
-           warm_labels)
 
     return {
         "schema": BENCH_SCHEMA,
@@ -552,7 +511,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "--workers",
         type=int,
         default=4,
-        help="worker count for the thread/process runs (default: 4)",
+        help="worker count for the process runs (default: 4)",
     )
     parser.add_argument(
         "--repeats",

@@ -13,8 +13,9 @@ Two pieces live here:
 * :class:`AnnotatorBase` — the shared implementation.  Concrete methods
   implement two hooks — :meth:`AnnotatorBase._fit` and
   :meth:`AnnotatorBase.predict_labels` — and inherit the label wrapping,
-  label-and-merge and (optionally parallel) batch machinery that used to be
-  duplicated between ``core/annotator.py`` and ``baselines/base.py``.
+  label-and-merge and batch machinery (serial or process-parallel) that
+  used to be duplicated between ``core/annotator.py`` and
+  ``baselines/base.py``.
 
 The protocol is structural: any object with the right attributes satisfies
 ``isinstance(obj, Annotator)`` whether or not it derives from
@@ -23,7 +24,6 @@ The protocol is structural: any object with the right attributes satisfies
 
 from __future__ import annotations
 
-import copy
 from abc import ABC, abstractmethod
 from typing import (
     Dict,
@@ -37,15 +37,9 @@ from typing import (
 
 from repro.core.config import C2MNConfig
 from repro.core.merge import merge_record_labels
-from repro.crf.batch import bucket_indices
+from repro.crf.batch import plan_batch
 from repro.indoor.floorplan import IndoorSpace
-from repro.runtime import (
-    ExecutionPolicy,
-    Executor,
-    UNSET,
-    resolve_policy,
-    sequence_fingerprint,
-)
+from repro.runtime import ExecutionPolicy, Executor
 from repro.mobility.records import LabeledSequence, MSemantics, PositioningSequence
 
 
@@ -56,8 +50,9 @@ class Annotator(Protocol):
     ``fit`` learns from labeled sequences; ``predict_labels`` returns
     record-level ``(regions, events)`` for one p-sequence; ``annotate`` merges
     the labels into m-semantics; the ``*_many`` variants batch over many
-    sequences with an optional thread pool.  ``is_fitted`` and ``name``
-    support introspection by harnesses and services.
+    sequences under an :class:`~repro.runtime.ExecutionPolicy`.
+    ``is_fitted`` and ``name`` support introspection by harnesses and
+    services.
     """
 
     name: str
@@ -103,11 +98,11 @@ class AnnotatorBase(ABC):
 
     Subclasses implement :meth:`_fit` (may be empty for parameter-free
     methods) and :meth:`predict_labels`; everything else — label wrapping,
-    label-and-merge, batch mapping with optional workers, fitted-state
+    label-and-merge, batch mapping under an execution policy, fitted-state
     bookkeeping — is provided here once.
 
-    ``predict_labels`` implementations must be thread-safe for prediction
-    when the ``*_many`` methods are used with ``workers > 1``.
+    Annotators must be picklable for the ``*_many`` methods to run under a
+    process policy (the annotator is broadcast to the worker pool).
     """
 
     def __init__(
@@ -194,34 +189,16 @@ class AnnotatorBase(ABC):
     def predict_labels_batch(
         self, sequences: Sequence[PositioningSequence]
     ) -> List[Tuple[List[int], List[str]]]:
-        """Decode one bucket of sequences, coalescing exact duplicates.
+        """Decode a batch in-process through the batch planner.
 
-        Sequences with identical content fingerprints decode **once**;
-        every duplicate receives its own copy of the labels (equal bytes in
-        produce equal labels out, so coalescing is bitwise-exact by
-        construction).  This is the unit of work the ``*_many`` methods
-        dispatch to workers.
+        The batch is coalesced and bucketed by
+        :func:`repro.crf.batch.plan_batch`: sequences with identical
+        content fingerprints decode **once**, and every duplicate receives
+        its own copy of the labels (equal bytes in produce equal labels
+        out, so coalescing is bitwise-exact by construction).
         """
-        sequences = list(sequences)
-        keys = [sequence_fingerprint(sequence) for sequence in sequences]
-        unique_of: Dict[str, int] = {}
-        unique_positions: List[int] = []
-        for position, key in enumerate(keys):
-            if key not in unique_of:
-                unique_of[key] = len(unique_positions)
-                unique_positions.append(position)
-        unique_results = self._decode_bucket(
-            [sequences[position] for position in unique_positions]
-        )
-        results: List[Tuple[List[int], List[str]]] = []
-        for position, key in enumerate(keys):
-            slot = unique_of[key]
-            if position == unique_positions[slot]:
-                results.append(unique_results[slot])
-            else:  # a coalesced duplicate gets its own mutable copy
-                regions, events = unique_results[slot]
-                results.append((list(regions), list(events)))
-        return results
+        plan = plan_batch(sequences)
+        return plan.scatter([self._decode_bucket(items) for items in plan.bucket_items()])
 
     def annotate_bucket(
         self,
@@ -229,13 +206,14 @@ class AnnotatorBase(ABC):
         *,
         region_grouping: Optional[Dict[int, int]] = None,
     ) -> List[List[MSemantics]]:
-        """Annotate one bucket: batched decode, then per-sequence merging.
+        """Annotate one bucket of distinct sequences: batched decode, then merging.
 
-        Merging runs per original sequence even when labels were coalesced,
-        so every batch member owns fresh :class:`MSemantics` objects.
+        The unit of work :meth:`annotate_many` and
+        :meth:`repro.service.AnnotationService.annotate_batch` dispatch
+        for each bucket of a :func:`repro.crf.batch.plan_batch` plan.
         """
         sequences = list(sequences)
-        labels = self.predict_labels_batch(sequences)
+        labels = self._decode_bucket(sequences)
         return [
             merge_record_labels(
                 sequence, regions, events, region_grouping=region_grouping
@@ -248,96 +226,52 @@ class AnnotatorBase(ABC):
         method: str,
         fallback_method: str,
         sequences: Sequence[PositioningSequence],
-        policy: ExecutionPolicy,
+        policy: Optional[ExecutionPolicy],
         **kwargs,
     ) -> List:
         """Fan a batch out according to ``policy`` and gather in input order.
 
-        With ``policy.batch`` the batch is first coalesced — sequences with
-        identical content fingerprints are represented once — then the
-        distinct sequences are grouped into length buckets
-        (:func:`repro.crf.batch.bucket_indices`, capped by
-        :meth:`ExecutionPolicy.effective_bucket_size` so parallel runs get
-        enough buckets to balance) and each bucket dispatches as one
-        ``method`` call.  Every coalesced duplicate receives a deep copy of
-        its representative's result, so batch members never share result
-        objects.  Without ``policy.batch``, ``fallback_method`` runs per
-        sequence (the pre-batching layout).
+        With ``policy.batch`` the batch is planned once by
+        :func:`repro.crf.batch.plan_batch` — coalesced by content, then
+        grouped into length buckets — and each bucket of distinct
+        sequences dispatches as one ``method`` call; coalesced duplicates
+        receive deep copies of their representative's result.  Without
+        ``policy.batch``, ``fallback_method`` runs per sequence (the
+        pre-batching layout).
         """
-        sequences = list(sequences)
-        executor = Executor(policy=policy)
+        executor = Executor(policy)
+        policy = executor.policy
         if not policy.batch:
             return executor.map_broadcast(self, fallback_method, sequences, **kwargs)
-        keys = [sequence_fingerprint(sequence) for sequence in sequences]
-        slot_of: Dict[str, int] = {}
-        unique_positions: List[int] = []
-        for position, key in enumerate(keys):
-            if key not in slot_of:
-                slot_of[key] = len(unique_positions)
-                unique_positions.append(position)
-        uniques = [sequences[position] for position in unique_positions]
-        buckets = bucket_indices(
-            [len(unique) for unique in uniques],
-            policy.effective_bucket_size(len(uniques)),
+        plan = plan_batch(sequences, policy)
+        return plan.scatter(
+            executor.map_broadcast(self, method, plan.bucket_items(), **kwargs)
         )
-        bucket_results = executor.map_broadcast(
-            self,
-            method,
-            [[uniques[slot] for slot in bucket] for bucket in buckets],
-            **kwargs,
-        )
-        unique_results: List = [None] * len(uniques)
-        for bucket, bucket_result in zip(buckets, bucket_results):
-            for slot, result in zip(bucket, bucket_result):
-                unique_results[slot] = result
-        results: List = []
-        for position, key in enumerate(keys):
-            slot = slot_of[key]
-            if position == unique_positions[slot]:
-                results.append(unique_results[slot])
-            else:  # equal bytes in, equal labels out: copy the representative
-                results.append(copy.deepcopy(unique_results[slot]))
-        return results
 
     def predict_labels_many(
         self,
         sequences: Sequence[PositioningSequence],
         *,
         policy: Optional[ExecutionPolicy] = None,
-        workers: Optional[int] = UNSET,
-        backend: str = UNSET,
     ) -> List[Tuple[List[int], List[str]]]:
         """Decode a collection of p-sequences under an execution policy.
 
-        ``policy`` selects the backend (``"serial"``, ``"thread"``,
-        ``"process"``), the worker fan-out, length-bucketed batching with
-        duplicate coalescing, and process-pool reuse; the default policy
-        batches serially.  The process backend shards buckets across a
-        persistent worker pool and broadcasts this annotator through
-        shared memory — the only way GIL-bound decoding scales with cores.
-        Results are returned in input order regardless of completion order
-        and are bitwise identical across backends and batching modes.
-
-        The legacy ``workers=``/``backend=`` keywords still work but emit
-        a :class:`DeprecationWarning`.
+        ``policy`` selects the backend (``"serial"`` or ``"process"``), the
+        worker fan-out, and length-bucketed batching with duplicate
+        coalescing; the default policy batches serially.  The process
+        backend shards buckets across a persistent worker pool and
+        broadcasts this annotator through shared memory — the only way
+        GIL-bound decoding scales with cores.  Results are returned in
+        input order regardless of completion order and are bitwise
+        identical across backends and batching modes.
         """
-        policy = resolve_policy(
-            policy,
-            workers=workers,
-            backend=backend,
-            owner="predict_labels_many()",
-        )
-        return self._map_buckets(
-            "predict_labels_batch", "predict_labels", sequences, policy
-        )
+        return self._map_buckets("_decode_bucket", "predict_labels", sequences, policy)
 
     def annotate_many(
         self,
         sequences: Sequence[PositioningSequence],
         *,
         policy: Optional[ExecutionPolicy] = None,
-        workers: Optional[int] = UNSET,
-        backend: str = UNSET,
         region_grouping: Optional[Dict[int, int]] = None,
     ) -> List[List[MSemantics]]:
         """Annotate a collection of p-sequences under an execution policy.
@@ -346,12 +280,6 @@ class AnnotatorBase(ABC):
         :meth:`predict_labels_many`; merging always runs per sequence, so
         result objects are never shared between batch members.
         """
-        policy = resolve_policy(
-            policy,
-            workers=workers,
-            backend=backend,
-            owner="annotate_many()",
-        )
         return self._map_buckets(
             "annotate_bucket",
             "annotate",

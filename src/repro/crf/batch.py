@@ -1,11 +1,20 @@
-"""Multi-sequence ICM decoding: length buckets, lockstep sweeps, coalescing.
+"""Multi-sequence ICM decoding: batch planning, length buckets, lockstep sweeps.
 
 :func:`repro.crf.inference.decode_icm` decodes one sequence at a time; a
 batch of N sequences costs N full Python decode loops even when many of
 the sequences are identical (replayed traffic) or share a length profile.
 This module adds the batch path behind ``predict_labels_many`` /
-``annotate_many``:
+``annotate_many`` and :meth:`repro.service.AnnotationService.annotate_batch`:
 
+* :func:`plan_batch` is the one batch planner.  It first **coalesces**
+  the batch — sequences with equal content fingerprints
+  (:func:`repro.runtime.sequence_fingerprint`) are represented once, so
+  replayed traffic decodes once per batch; bit-exact by construction,
+  since equal bytes in produce equal labels out — then groups the
+  distinct sequences into length buckets with :func:`bucket_indices`.
+  The resulting :class:`BatchPlan` fans each distinct result back out to
+  every input position, deep-copying it for the duplicates so batch
+  members never share result objects.
 * :func:`bucket_indices` groups a batch into **length buckets** — indices
   sorted by sequence length and chunked to at most ``bucket_size`` per
   bucket, so each dispatch unit holds sequences of similar length and a
@@ -20,11 +29,6 @@ This module adds the batch path behind ``predict_labels_many`` /
   whose sweep made no change are *converged* (ICM is at a fixpoint: every
   node already sits at its local argmax) and drop out of later sweeps,
   exactly as the per-sequence loop would have stopped for them.
-* Duplicate coalescing lives one layer up
-  (:meth:`repro.core.protocol.AnnotatorBase.predict_labels_batch`): the
-  batch is deduplicated by content fingerprint before decoding, so
-  replayed sequences decode once per batch — bit-exact by construction,
-  since equal bytes in produce equal labels out.
 
 The lockstep loop deliberately calls ``model.best_label`` per node rather
 than stacking score matrices across sequences: stacked BLAS matmuls of a
@@ -37,11 +41,14 @@ per-bucket dispatch overhead, not from changing the arithmetic.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+import copy
+from dataclasses import dataclass
+from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.crf.engine import InferenceEngine
 from repro.crf.features import SequenceData
 from repro.crf.inference import initial_events, initial_regions
+from repro.runtime import ExecutionPolicy, sequence_fingerprint
 
 
 def bucket_indices(lengths: Sequence[int], bucket_size: int) -> List[List[int]]:
@@ -56,6 +63,73 @@ def bucket_indices(lengths: Sequence[int], bucket_size: int) -> List[List[int]]:
         raise ValueError(f"bucket_size must be at least 1, got {bucket_size}")
     order = sorted(range(len(lengths)), key=lambda k: (lengths[k], k))
     return [order[i : i + bucket_size] for i in range(0, len(order), bucket_size)]
+
+
+@dataclass(frozen=True)
+class BatchPlan:
+    """A batch coalesced by content, then grouped into length buckets.
+
+    ``uniques`` holds the distinct sequences in first-occurrence order,
+    ``positions[slot]`` the input positions that carry ``uniques[slot]``
+    (its representative first), and ``buckets`` the unique slots of each
+    length bucket.
+    """
+
+    uniques: List[Any]
+    positions: List[List[int]]
+    buckets: List[List[int]]
+
+    def bucket_items(self) -> List[List[Any]]:
+        """The distinct sequences of every bucket, one list per bucket."""
+        return [[self.uniques[slot] for slot in bucket] for bucket in self.buckets]
+
+    def fan_out(
+        self, buckets: Sequence[List[int]], bucket_results: Sequence[Sequence[Any]]
+    ) -> Iterator[Tuple[int, Any]]:
+        """``(position, result)`` for every input position of ``buckets``.
+
+        ``bucket_results`` holds one result per bucket member.  The
+        representative of each distinct sequence receives its result
+        itself; every coalesced duplicate receives its own deep copy.
+        """
+        for bucket, bucket_result in zip(buckets, bucket_results):
+            for slot, result in zip(bucket, bucket_result):
+                for extra, position in enumerate(self.positions[slot]):
+                    yield position, result if extra == 0 else copy.deepcopy(result)
+
+    def scatter(self, bucket_results: Sequence[Sequence[Any]]) -> List[Any]:
+        """Per-input results, in input order, from every bucket's results."""
+        results: List[Any] = [None] * sum(len(group) for group in self.positions)
+        for position, result in self.fan_out(self.buckets, bucket_results):
+            results[position] = result
+        return results
+
+
+def plan_batch(
+    sequences: Sequence[Any], policy: Optional[ExecutionPolicy] = None
+) -> BatchPlan:
+    """Coalesce ``sequences`` by content, then bucket the distinct ones.
+
+    The bucket cap is ``policy.effective_bucket_size`` of the distinct
+    count (the default policy when ``policy`` is ``None``), so parallel
+    runs get enough buckets to keep every worker busy.
+    """
+    slot_of: Dict[str, int] = {}
+    uniques: List[Any] = []
+    positions: List[List[int]] = []
+    for position, sequence in enumerate(sequences):
+        key = sequence_fingerprint(sequence)
+        if key not in slot_of:
+            slot_of[key] = len(uniques)
+            uniques.append(sequence)
+            positions.append([])
+        positions[slot_of[key]].append(position)
+    policy = policy if policy is not None else ExecutionPolicy()
+    buckets = bucket_indices(
+        [len(unique) for unique in uniques],
+        policy.effective_bucket_size(len(uniques)),
+    )
+    return BatchPlan(uniques=uniques, positions=positions, buckets=buckets)
 
 
 def decode_icm_many(
@@ -127,4 +201,4 @@ def decode_icm_many(
     return [(regions[k], events[k]) for k in range(n_seqs)]
 
 
-__all__ = ["bucket_indices", "decode_icm_many"]
+__all__ = ["BatchPlan", "bucket_indices", "decode_icm_many", "plan_batch"]

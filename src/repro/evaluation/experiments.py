@@ -41,7 +41,7 @@ from repro.indoor.floorplan import IndoorSpace
 from repro.mobility.dataset import AnnotationDataset, train_test_split
 from repro.index import SemanticsIndex
 from repro.queries.precision import top_k_precision
-from repro.runtime import ExecutionPolicy, UNSET, resolve_policy
+from repro.runtime import ExecutionPolicy
 from repro.queries.tkfrpq import TkFRPQ
 from repro.queries.tkprq import TkPRQ
 from repro.scenarios import DeviceSpec, MobilitySpec, ScenarioSpec, VenueSpec
@@ -268,23 +268,16 @@ def run_accuracy_comparison(
     train_fraction: float = 0.7,
     seed: int = 17,
     policy: Optional[ExecutionPolicy] = None,
-    workers: Optional[int] = UNSET,
-    backend: str = UNSET,
 ) -> List[EvaluationResult]:
     """Table IV: labeling accuracy of every compared method on one split.
 
     ``policy`` controls how the test-set labeling of each method executes —
-    a process policy spreads the decode across cores (the legacy
-    ``workers=``/``backend=`` keywords still work but emit a
-    :class:`DeprecationWarning`).  ``dataset`` may be a prepared
-    :class:`AnnotationDataset` or a registered scenario name.
+    a process policy spreads the decode across cores.  ``dataset`` may be a
+    prepared :class:`AnnotationDataset` or a registered scenario name.
     """
     dataset = resolve_dataset(dataset)
     cfg = config if config is not None else C2MNConfig.fast()
     train, test = train_test_split(dataset, train_fraction=train_fraction, seed=seed)
-    policy = resolve_policy(
-        policy, workers=workers, backend=backend, owner="run_accuracy_comparison()"
-    )
     evaluator = MethodEvaluator(policy=policy)
     annotators = build_methods(methods, dataset.space, cfg)
     return evaluator.evaluate_many(annotators, train.sequences, test.sequences)
@@ -301,17 +294,11 @@ def run_training_fraction_sweep(
     config: Optional[C2MNConfig] = None,
     seed: int = 17,
     policy: Optional[ExecutionPolicy] = None,
-    workers: Optional[int] = UNSET,
-    backend: str = UNSET,
 ) -> Dict[str, Dict[float, EvaluationResult]]:
     """Figures 5, 6 and 10: accuracy and training time vs training fraction."""
     dataset = resolve_dataset(dataset)
     cfg = config if config is not None else C2MNConfig.fast()
     results: Dict[str, Dict[float, EvaluationResult]] = {name: {} for name in methods}
-    policy = resolve_policy(
-        policy, workers=workers, backend=backend,
-        owner="run_training_fraction_sweep()",
-    )
     evaluator = MethodEvaluator(keep_predictions=False, policy=policy)
     for fraction in fractions:
         train, test = train_test_split(dataset, train_fraction=fraction, seed=seed)
@@ -335,8 +322,6 @@ def run_mcmc_sweep(
     train_fraction: float = 0.7,
     seed: int = 17,
     policy: Optional[ExecutionPolicy] = None,
-    workers: Optional[int] = UNSET,
-    backend: str = UNSET,
 ) -> Dict[str, Dict[int, EvaluationResult]]:
     """Figures 7 and 8: RA and EA versus the number M of MCMC instances.
 
@@ -347,9 +332,6 @@ def run_mcmc_sweep(
     dataset = resolve_dataset(dataset)
     cfg = config if config is not None else C2MNConfig.fast()
     train, test = train_test_split(dataset, train_fraction=train_fraction, seed=seed)
-    policy = resolve_policy(
-        policy, workers=workers, backend=backend, owner="run_mcmc_sweep()"
-    )
     evaluator = MethodEvaluator(keep_predictions=False, policy=policy)
     results: Dict[str, Dict[int, EvaluationResult]] = {name: {} for name in methods}
     for count in sample_counts:
@@ -484,8 +466,6 @@ def run_query_precision(
     train_fraction: float = 0.7,
     seed: int = 17,
     policy: Optional[ExecutionPolicy] = None,
-    workers: Optional[int] = UNSET,
-    backend: str = UNSET,
 ) -> Dict[str, Dict[float, Tuple[float, float]]]:
     """Figures 12 and 13: TkPRQ/TkFRPQ precision versus the query interval QT.
 
@@ -496,9 +476,6 @@ def run_query_precision(
     dataset = resolve_dataset(dataset)
     cfg = config if config is not None else C2MNConfig.fast()
     train, test = train_test_split(dataset, train_fraction=train_fraction, seed=seed)
-    policy = resolve_policy(
-        policy, workers=workers, backend=backend, owner="run_query_precision()"
-    )
     evaluator = MethodEvaluator(policy=policy)
     annotators = build_methods(methods, dataset.space, cfg)
     results = evaluator.evaluate_many(annotators, train.sequences, test.sequences)
@@ -537,8 +514,6 @@ def run_sparsity_sweep(
     train_fraction: float = 0.7,
     seed: int = 17,
     policy: Optional[ExecutionPolicy] = None,
-    workers: Optional[int] = UNSET,
-    backend: str = UNSET,
 ) -> Dict[str, Dict[float, Dict[str, float]]]:
     """Figures 14–16: PA and query precision versus the maximum period T."""
     return _synthetic_sweep(
@@ -552,9 +527,7 @@ def run_sparsity_sweep(
         query_interval=query_interval,
         train_fraction=train_fraction,
         seed=seed,
-        policy=resolve_policy(
-            policy, workers=workers, backend=backend, owner="run_sparsity_sweep()"
-        ),
+        policy=policy,
     )
 
 
@@ -570,8 +543,6 @@ def run_error_sweep(
     train_fraction: float = 0.7,
     seed: int = 17,
     policy: Optional[ExecutionPolicy] = None,
-    workers: Optional[int] = UNSET,
-    backend: str = UNSET,
 ) -> Dict[str, Dict[float, Dict[str, float]]]:
     """Figures 17–19: PA and query precision versus the positioning error μ."""
     return _synthetic_sweep(
@@ -585,9 +556,7 @@ def run_error_sweep(
         query_interval=query_interval,
         train_fraction=train_fraction,
         seed=seed,
-        policy=resolve_policy(
-            policy, workers=workers, backend=backend, owner="run_error_sweep()"
-        ),
+        policy=policy,
     )
 
 

@@ -10,12 +10,8 @@ protocol, so every C2MN variant and every baseline is handled identically.
 The test sequences are labeled through the method's own
 ``predict_labels_many`` under the evaluator's
 :class:`~repro.runtime.ExecutionPolicy` (predictions keep input order):
-a thread policy requires thread-safe prediction — everything derived
-from :class:`repro.core.protocol.AnnotatorBase` is — while a process
-policy shards length buckets across the persistent worker pool, which is
-what actually scales the GIL-bound figure/table reproductions with cores.
-The legacy ``workers=``/``backend=`` keywords still work via the policy
-deprecation shim.
+a process policy shards length buckets across the persistent worker pool,
+which is what scales the GIL-bound figure/table reproductions with cores.
 """
 
 from __future__ import annotations
@@ -28,7 +24,7 @@ from repro.core.merge import merge_labeled_sequence
 from repro.core.protocol import Annotator
 from repro.evaluation.metrics import AccuracyScores, score_sequences
 from repro.mobility.records import LabeledSequence, MSemantics
-from repro.runtime import ExecutionPolicy, UNSET, resolve_policy
+from repro.runtime import ExecutionPolicy
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.scenarios import Scenario
@@ -67,17 +63,10 @@ class MethodEvaluator:
         tradeoff: float = 0.7,
         keep_predictions: bool = True,
         policy: Optional[ExecutionPolicy] = None,
-        workers: Optional[int] = UNSET,
-        backend: str = UNSET,
     ):
         self.tradeoff = tradeoff
         self.keep_predictions = keep_predictions
-        self.policy = resolve_policy(
-            policy, workers=workers, backend=backend, owner="MethodEvaluator()"
-        )
-        # Legacy attributes, mirrored from the policy for older callers.
-        self.workers = self.policy.workers
-        self.backend = self.policy.backend
+        self.policy = policy if policy is not None else ExecutionPolicy()
 
     def evaluate(
         self,

@@ -113,7 +113,6 @@ def runtime_speedup_spec(table: Table) -> Optional[dict]:
         return None
     variants = [
         "annotate_many[serial]",
-        "annotate_many[thread]",
         "annotate_many[process]",
         "annotate_many_batched[serial]",
     ]

@@ -41,7 +41,6 @@ DEFAULT_SUITE_TOLERANCES = {
 #: else stays in the CSV with ``headline = false``.
 _RUNTIME_HEADLINE = (
     ("annotate_many", "serial"),
-    ("annotate_many", "thread"),
     ("annotate_many", "process"),
     ("annotate_many_batched", "serial"),
 )

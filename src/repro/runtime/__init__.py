@@ -3,15 +3,13 @@
 The runtime layer is the one place batch work is parallelised.  It offers:
 
 * :class:`ExecutionPolicy` — the one frozen value object describing *how*
-  batch work executes (backend, workers, length-bucketed batching, pool
-  reuse).  Every batch surface in the codebase (the ``*_many`` protocol
-  methods, the evaluation harness, the experiment runners, the service
-  batch path and the bench CLI) accepts ``policy=``; the legacy
-  ``workers=``/``backend=`` keyword pair still works through
-  :func:`resolve_policy` but emits a :class:`DeprecationWarning`;
+  batch work executes (backend, workers, length-bucketed batching).
+  Every batch surface in the codebase (the ``*_many`` protocol methods,
+  the evaluation harness, the experiment runners, the service batch path
+  and the bench CLI) accepts ``policy=``;
 * :class:`Executor` — a backend-pluggable mapper (``"serial"``,
-  ``"thread"``, ``"process"``) with contiguous dataset sharding, ordered
-  result gathering, chunked streaming gather
+  ``"process"``) with contiguous dataset sharding, ordered result
+  gathering, chunked streaming gather
   (:meth:`Executor.map_broadcast_stream`) and shared-memory model
   broadcast;
 * the persistent-pool machinery (:mod:`repro.runtime.pool`) — one warm
@@ -19,37 +17,26 @@ The runtime layer is the one place batch work is parallelised.  It offers:
   the life of the interpreter, with content-addressed shared-memory
   broadcast segments and :func:`shutdown_pools` for explicit teardown
   (also registered with :mod:`atexit`);
-* :class:`DerivedStateCache` — a bounded, thread-safe LRU for expensive
-  derived state (prepared sequences with their potential tables), keyed by
-  content fingerprints so repeated decodes of the same model skip rebuilds;
-* the fingerprint helpers (:func:`config_fingerprint`,
-  :func:`sequence_fingerprint`, :func:`weights_fingerprint`) used to build
-  those keys.
+* the content fingerprints (:func:`fingerprint`,
+  :func:`sequence_fingerprint`, :func:`space_fingerprint`) that key
+  duplicate coalescing and the scenario catalogue.
 """
 
-from repro.runtime.cache import (
-    CacheStats,
-    DerivedStateCache,
-    config_fingerprint,
-    fingerprint,
-    sequence_fingerprint,
-    space_fingerprint,
-    weights_fingerprint,
-)
 from repro.runtime.executor import (
     BACKEND_NAMES,
     Executor,
-    map_sharded,
-    map_with_workers,
     resolve_backend,
     shard_indices,
     validate_workers,
 )
+from repro.runtime.fingerprint import (
+    fingerprint,
+    sequence_fingerprint,
+    space_fingerprint,
+)
 from repro.runtime.policy import (
     DEFAULT_BUCKET_SIZE,
-    UNSET,
     ExecutionPolicy,
-    resolve_policy,
 )
 from repro.runtime.pool import (
     active_broadcast_epochs,
@@ -59,24 +46,16 @@ from repro.runtime.pool import (
 
 __all__ = [
     "BACKEND_NAMES",
-    "CacheStats",
     "DEFAULT_BUCKET_SIZE",
-    "DerivedStateCache",
     "ExecutionPolicy",
     "Executor",
-    "UNSET",
     "active_broadcast_epochs",
     "active_pool_workers",
-    "config_fingerprint",
     "fingerprint",
-    "map_sharded",
-    "map_with_workers",
     "resolve_backend",
-    "resolve_policy",
     "sequence_fingerprint",
     "shard_indices",
     "shutdown_pools",
     "space_fingerprint",
     "validate_workers",
-    "weights_fingerprint",
 ]

@@ -1,15 +1,11 @@
 """Backend-pluggable parallel mapping with sharding and ordered gathering.
 
-Three backends cover the practical execution regimes of this codebase:
+Two backends cover the execution regimes of this codebase:
 
 ``"serial"``
     A plain loop in the calling thread.  Zero overhead, always available,
-    and the reference semantics every other backend must reproduce exactly.
-``"thread"``
-    A :class:`~concurrent.futures.ThreadPoolExecutor`.  Useful when the
-    mapped function releases the GIL (NumPy-heavy work, I/O); pure-python
-    decoding gains little.  This is the pre-runtime behaviour of
-    ``workers=N`` and remains the default backend everywhere.
+    the default, and the reference semantics the process backend must
+    reproduce exactly.
 ``"process"``
     A persistent :class:`~concurrent.futures.ProcessPoolExecutor` over
     contiguous shards of the input (see :mod:`repro.runtime.pool`).  The
@@ -19,9 +15,7 @@ Three backends cover the practical execution regimes of this codebase:
     unpickle per worker — per-shard tasks ship only the items.
 
 An :class:`Executor` is configured by an
-:class:`~repro.runtime.policy.ExecutionPolicy`; the historical
-``backend=``/``workers=`` constructor keywords keep working through the
-policy deprecation shim.
+:class:`~repro.runtime.policy.ExecutionPolicy`.
 
 Every backend returns results in input order regardless of completion
 order (:meth:`Executor.map_broadcast_stream` additionally exposes chunks
@@ -33,7 +27,6 @@ process backend merely moves the computation, it never changes it
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor, as_completed
 from typing import (
     TYPE_CHECKING,
     Any,
@@ -52,8 +45,8 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (policy imports us)
 ItemT = TypeVar("ItemT")
 ResultT = TypeVar("ResultT")
 
-#: Valid values of the ``backend=`` parameter accepted across the codebase.
-BACKEND_NAMES: Tuple[str, str, str] = ("serial", "thread", "process")
+#: Valid values of :attr:`ExecutionPolicy.backend`.
+BACKEND_NAMES: Tuple[str, str] = ("serial", "process")
 
 #: Shards per worker for the process backend.  More shards than workers
 #: smooths imbalance between shards (sequences differ in length) while the
@@ -105,84 +98,38 @@ def shard_indices(n_items: int, shards: int) -> List[Tuple[int, int]]:
 
 
 class Executor:
-    """Maps functions over datasets through a selectable execution backend.
+    """Maps an object's method over datasets through a selectable backend.
 
     An :class:`Executor` is cheap to construct: it is a thin view over an
-    :class:`~repro.runtime.policy.ExecutionPolicy`.  Serial and thread
-    backends hold no state between calls; the process backend borrows the
-    interpreter-wide persistent pool from :mod:`repro.runtime.pool` when
-    ``policy.reuse_pool`` is set (the default), so repeated batches reuse
-    warm workers — call :func:`repro.runtime.pool.shutdown_pools` to
-    reclaim them early, or let the :mod:`atexit` hook do it.
+    :class:`~repro.runtime.policy.ExecutionPolicy` (serial by default;
+    anything else raises :class:`TypeError`).
+    The serial backend holds no state between calls; the process backend
+    borrows the interpreter-wide persistent pool from
+    :mod:`repro.runtime.pool`, so repeated batches reuse warm workers —
+    call :func:`repro.runtime.pool.shutdown_pools` to reclaim them early,
+    or let the :mod:`atexit` hook do it.
 
-    ``workers`` follows the historical convention: ``None`` or 1 runs
-    serially whatever the backend (there is nothing to fan out), values
-    below 1 raise :class:`ValueError` unconditionally.
+    A worker count of ``None`` or 1 runs serially whatever the backend
+    (there is nothing to fan out).
     """
 
-    def __init__(
-        self,
-        backend: Optional[str] = None,
-        workers: Optional[int] = None,
-        *,
-        policy: Optional["ExecutionPolicy"] = None,
-    ):
-        from repro.runtime.policy import ExecutionPolicy, resolve_policy, UNSET
+    def __init__(self, policy: Optional["ExecutionPolicy"] = None):
+        from repro.runtime.policy import ExecutionPolicy
 
-        if policy is None and backend is None and workers is None:
-            policy = ExecutionPolicy(backend="serial")
-        else:
-            policy = resolve_policy(
-                policy,
-                backend=UNSET if backend is None else backend,
-                workers=UNSET if workers is None else workers,
-                default=ExecutionPolicy(backend="serial"),
-                owner="Executor()",
-            )
+        if policy is None:
+            policy = ExecutionPolicy()
+        elif not isinstance(policy, ExecutionPolicy):
+            raise TypeError(f"policy must be an ExecutionPolicy, got {policy!r}")
         self.policy = policy
-        self.backend = policy.backend
-        self.workers = policy.effective_workers
 
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
         return f"Executor(policy={self.policy!r})"
 
     # ------------------------------------------------------------- execution
     def _effective_workers(self, n_items: int) -> int:
-        return max(1, min(self.workers, n_items))
-
-    def map(
-        self, func: Callable[[ItemT], ResultT], items: Sequence[ItemT]
-    ) -> List[ResultT]:
-        """Map ``func`` over ``items``; results come back in input order.
-
-        With the process backend ``func`` and the items must be picklable;
-        ``func`` is broadcast once through shared memory (as the
-        ``__call__`` target).  Prefer :meth:`map_broadcast` when the
-        callable is a method of a heavy object — same mechanism, clearer
-        intent.
-        """
-        items = list(items)
-        workers = self._effective_workers(len(items))
-        if workers == 1 or self.backend == "serial":
-            return [func(item) for item in items]
-        if self.backend == "thread":
-            with ThreadPoolExecutor(max_workers=workers) as tpool:
-                return list(tpool.map(func, items))
-        from repro.runtime import pool as pool_mod
-
-        shards = [
-            items[start:stop]
-            for start, stop in shard_indices(len(items), workers * _SHARDS_PER_WORKER)
-        ]
-        gathered = pool_mod.run_broadcast_shards(
-            func,
-            "__call__",
-            {},
-            shards,
-            workers=workers,
-            reuse_pool=self.policy.reuse_pool,
-        )
-        return [result for shard in gathered for result in shard]
+        if self.policy.backend == "serial":
+            return 1
+        return max(1, min(self.policy.effective_workers, n_items))
 
     def map_broadcast(
         self,
@@ -242,68 +189,16 @@ class Executor:
             return
         workers = self._effective_workers(len(items))
         bounds = shard_indices(len(items), workers * _SHARDS_PER_WORKER)
-        if workers == 1 or self.backend == "serial":
+        if workers == 1:
             for start, stop in bounds:
                 yield start, stop, [call(items[i], **kwargs) for i in range(start, stop)]
-            return
-        if self.backend == "thread":
-
-            def _run(start: int, stop: int) -> List[ResultT]:
-                return [call(items[i], **kwargs) for i in range(start, stop)]
-
-            with ThreadPoolExecutor(max_workers=workers) as tpool:
-                futures = {
-                    tpool.submit(_run, start, stop): (start, stop)
-                    for start, stop in bounds
-                }
-                for future in as_completed(futures):
-                    start, stop = futures[future]
-                    yield start, stop, future.result()
             return
         from repro.runtime import pool as pool_mod
 
         shards = [items[start:stop] for start, stop in bounds]
         for index, shard_result in pool_mod.iter_broadcast_shards(
-            obj, method, kwargs, shards, workers=workers,
-            reuse_pool=self.policy.reuse_pool,
+            obj, method, kwargs, shards, workers=workers
         ):
             start, stop = bounds[index]
             yield start, stop, shard_result
 
-
-def map_sharded(
-    func: Callable[[ItemT], ResultT],
-    items: Sequence[ItemT],
-    *,
-    workers: Optional[int] = None,
-    backend: str = "serial",
-) -> List[ResultT]:
-    """One-shot convenience wrapper: ``Executor(backend, workers).map(...)``."""
-    from repro.runtime.policy import ExecutionPolicy
-
-    policy = ExecutionPolicy(backend=backend, workers=workers)
-    return Executor(policy=policy).map(func, items)
-
-
-def map_with_workers(
-    func: Callable[[ItemT], ResultT],
-    items: Sequence[ItemT],
-    workers: Optional[int],
-    *,
-    backend: str = "thread",
-) -> List[ResultT]:
-    """Map ``func`` over ``items`` through an :class:`Executor`.
-
-    The seed-era batch-mapping entry point (formerly the
-    ``repro.core.parallel`` shim, now retired): ``workers`` of ``None`` or
-    1 runs serially; larger counts fan out over ``backend`` (``"thread"``
-    by default, matching the historical behaviour).  Results always come
-    back in input order, and invalid ``workers`` values (< 1) raise
-    :class:`ValueError` regardless of the batch size.  ``func`` must be
-    thread-safe for the thread backend and picklable for the process
-    backend.
-    """
-    from repro.runtime.policy import ExecutionPolicy
-
-    policy = ExecutionPolicy(backend=backend, workers=workers)
-    return Executor(policy=policy).map(func, items)

@@ -1,48 +1,32 @@
-"""The unified execution policy shared by every batch surface.
+"""The execution policy shared by every batch surface.
 
-Before this module, every batch entry point in the codebase — the
-``*_many`` protocol methods, the evaluation harness, the experiment
-runners, the service batch path, the fuzz oracles and the bench CLI —
-duplicated a ``workers=``/``backend=`` keyword pair and forwarded it by
-hand.  :class:`ExecutionPolicy` replaces that pair with one frozen value
-object describing *how* batch work executes:
+Every batch entry point in the codebase — the ``*_many`` protocol
+methods, the evaluation harness, the experiment runners, the service
+batch path, the fuzz oracles and the bench CLI — takes one frozen
+:class:`ExecutionPolicy` describing *how* batch work executes:
 
 ``backend`` / ``workers``
     The execution backend (:data:`repro.runtime.executor.BACKEND_NAMES`)
-    and its fan-out width, exactly as before.
-``batch`` / ``bucket_size``
+    and its fan-out width.
+``batch``
     Whether ``*_many`` calls route through the length-bucketed batch
-    decoder (:mod:`repro.crf.batch`) and how many sequences one bucket
-    may hold.  Bucketing groups similar-length sequences so one dispatch
-    covers a whole bucket, and coalesces bitwise-identical sequences so
-    duplicated traffic is decoded once.
-``reuse_pool``
-    Whether the process backend keeps its worker pool alive between
-    calls and broadcasts the target object through a shared-memory
-    segment (:mod:`repro.runtime.pool`) instead of re-spawning a pool
-    and re-shipping the pickle on every call.
-
-Old call sites keep working: every migrated API still accepts the legacy
-``workers=``/``backend=`` keywords through :func:`resolve_policy`, which
-converts them into a policy and emits a :class:`DeprecationWarning`.  No
-call site inside ``src/`` uses the legacy spelling anymore.
+    decoder (:mod:`repro.crf.batch`).  Batching coalesces bitwise-identical
+    sequences so duplicated traffic is decoded once, then groups the
+    distinct ones into buckets of at most :data:`DEFAULT_BUCKET_SIZE`
+    similar-length sequences so one dispatch covers a whole bucket.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, fields, replace
 from typing import Any, Dict, Optional
 
 from repro.runtime.executor import resolve_backend, validate_workers
 
-#: Sentinel distinguishing "argument not passed" from an explicit ``None``
-#: in the deprecation shims (``workers=None`` is a meaningful legacy value).
-UNSET: Any = type("_Unset", (), {"__repr__": lambda self: "UNSET"})()
-
-#: Default number of sequences per length bucket.  Large enough that the
-#: tiny/small workloads fit in a handful of buckets (amortising dispatch),
-#: small enough that process workers get several buckets to balance.
+#: Sequences per length bucket.  Large enough that the tiny/small
+#: workloads fit in a handful of buckets (amortising dispatch); parallel
+#: runs shrink it so every worker gets several buckets to balance
+#: (:meth:`ExecutionPolicy.effective_bucket_size`).
 DEFAULT_BUCKET_SIZE = 32
 
 
@@ -50,42 +34,24 @@ DEFAULT_BUCKET_SIZE = 32
 class ExecutionPolicy:
     """How batch annotation work executes, as one immutable value.
 
-    The defaults reproduce the historical behaviour of the raw keyword
-    pair (``backend="thread"``, ``workers=None`` — i.e. serial until a
-    worker count is requested) with batching and pool reuse on.
+    The default is serial, batched execution.
     """
 
-    backend: str = "thread"
+    backend: str = "serial"
     workers: Optional[int] = None
     batch: bool = True
-    bucket_size: int = DEFAULT_BUCKET_SIZE
-    reuse_pool: bool = True
 
     def __post_init__(self):
         resolve_backend(self.backend)
         validate_workers(self.workers)
-        if not isinstance(self.bucket_size, int) or isinstance(self.bucket_size, bool):
-            raise TypeError(
-                f"bucket_size must be an int, got {self.bucket_size!r}"
-            )
-        if self.bucket_size < 1:
-            raise ValueError(
-                f"bucket_size must be at least 1, got {self.bucket_size}"
-            )
-        for flag in ("batch", "reuse_pool"):
-            if not isinstance(getattr(self, flag), bool):
-                raise TypeError(f"{flag} must be a bool, got {getattr(self, flag)!r}")
+        if not isinstance(self.batch, bool):
+            raise TypeError(f"batch must be a bool, got {self.batch!r}")
 
     # ---------------------------------------------------------- constructors
     @classmethod
     def serial(cls, **overrides: Any) -> "ExecutionPolicy":
         """A strictly in-process, single-worker policy."""
         return cls(backend="serial", workers=None, **overrides)
-
-    @classmethod
-    def threads(cls, workers: int, **overrides: Any) -> "ExecutionPolicy":
-        """A thread-pool policy with ``workers`` threads."""
-        return cls(backend="thread", workers=workers, **overrides)
 
     @classmethod
     def processes(cls, workers: int, **overrides: Any) -> "ExecutionPolicy":
@@ -101,20 +67,18 @@ class ExecutionPolicy:
     def effective_bucket_size(self, n_items: int) -> int:
         """The bucket cap actually used for a batch of ``n_items``.
 
-        Serial and single-worker runs use :attr:`bucket_size` unchanged —
-        bigger buckets mean more coalescing and less dispatch overhead.
-        Parallel runs shrink the cap so the batch splits into enough
-        buckets to keep every worker busy (matching the executor's
-        shards-per-worker fan-out); :attr:`bucket_size` stays the upper
-        bound either way.
+        Serial and single-worker runs use :data:`DEFAULT_BUCKET_SIZE` —
+        bigger buckets mean less dispatch overhead.  Parallel runs shrink
+        the cap so the batch splits into enough buckets to keep every
+        worker busy (matching the executor's shards-per-worker fan-out).
         """
         from repro.runtime.executor import _SHARDS_PER_WORKER
 
         workers = self.effective_workers
         if workers <= 1 or self.backend == "serial" or n_items <= 1:
-            return self.bucket_size
+            return DEFAULT_BUCKET_SIZE
         balanced = -(-n_items // (workers * _SHARDS_PER_WORKER))  # ceil div
-        return max(1, min(self.bucket_size, balanced))
+        return max(1, min(DEFAULT_BUCKET_SIZE, balanced))
 
     def with_(self, **changes: Any) -> "ExecutionPolicy":
         """A copy with the given fields replaced (validation re-runs)."""
@@ -129,66 +93,15 @@ class ExecutionPolicy:
     def from_dict(cls, payload: Dict[str, Any]) -> "ExecutionPolicy":
         """Rebuild a policy from :meth:`to_dict` output.
 
-        Unknown keys are ignored so newer files load on older code and
-        vice versa; missing keys take the field default.
+        Unknown keys are ignored so files that carry retired fields still
+        load; missing keys take the field default.  A backend that no
+        longer exists raises :class:`ValueError` naming the valid ones.
         """
         known = {f.name for f in fields(cls)}
         return cls(**{key: value for key, value in payload.items() if key in known})
 
 
-def resolve_policy(
-    policy: Optional[ExecutionPolicy] = None,
-    *,
-    workers: Any = UNSET,
-    backend: Any = UNSET,
-    default: Optional[ExecutionPolicy] = None,
-    owner: str = "this API",
-) -> ExecutionPolicy:
-    """Normalise the (policy, legacy kwargs) triple every migrated API accepts.
-
-    Exactly one spelling may be used per call:
-
-    * ``policy=...`` — the current API; returned as-is.
-    * ``workers=``/``backend=`` — the pre-policy keywords; converted into a
-      policy derived from ``default`` and reported once per call site via
-      :class:`DeprecationWarning`.
-    * neither — ``default`` (or a fresh :class:`ExecutionPolicy`).
-
-    Mixing both spellings raises :class:`TypeError` — silently preferring
-    one of two contradictory execution requests would be worse than either.
-    """
-    legacy = {
-        name: value
-        for name, value in (("workers", workers), ("backend", backend))
-        if value is not UNSET
-    }
-    if policy is not None:
-        if legacy:
-            raise TypeError(
-                f"pass either policy= or the legacy {sorted(legacy)} keywords "
-                f"to {owner}, not both"
-            )
-        if not isinstance(policy, ExecutionPolicy):
-            raise TypeError(
-                f"policy must be an ExecutionPolicy, got {type(policy).__name__}"
-            )
-        return policy
-    base = default if default is not None else ExecutionPolicy()
-    if legacy:
-        warnings.warn(
-            f"the workers=/backend= keywords of {owner} are deprecated; "
-            f"pass policy=ExecutionPolicy({', '.join(f'{k}={v!r}' for k, v in sorted(legacy.items()))}) "
-            "instead",
-            DeprecationWarning,
-            stacklevel=3,
-        )
-        return base.with_(**legacy)
-    return base
-
-
 __all__ = [
     "DEFAULT_BUCKET_SIZE",
     "ExecutionPolicy",
-    "UNSET",
-    "resolve_policy",
 ]

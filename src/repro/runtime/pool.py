@@ -1,10 +1,8 @@
 """Persistent process pools with shared-memory model broadcast.
 
-The pre-policy process backend created a fresh :class:`ProcessPoolExecutor`
-per ``map_broadcast`` call and re-shipped the pickled annotator through the
-pool initializer every time.  On the committed tiny workload that overhead
-alone put the process backend *below* serial.  This module replaces both
-costs with persistent state:
+Spawning a pool and shipping the pickled annotator on every call would
+cost more than the decode on small batches, so the process backend keeps
+both as persistent state:
 
 * **Pools persist.**  :func:`get_pool` keeps one pool per worker count
   alive for the life of the interpreter; repeated batch calls reuse warm
@@ -42,7 +40,7 @@ import threading
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from concurrent.futures.process import BrokenProcessPool
 from multiprocessing import shared_memory
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Sequence, Tuple
 
 #: Maximum distinct broadcast payloads kept alive at once.  Two covers the
 #: common A/B pattern (e.g. comparing two fitted annotators) without letting
@@ -180,43 +178,31 @@ def iter_broadcast_shards(
     shards: Sequence[Sequence[Any]],
     *,
     workers: int,
-    reuse_pool: bool = True,
 ):
     """Yield ``(shard_index, results)`` pairs in *completion* order.
 
     The streaming workhorse behind the process backend: the target object
     is published to shared memory once (per content epoch), each shard
-    becomes one task carrying only its items, and finished shards are
-    yielded as soon as they land — no barrier across the whole batch.
-
-    With ``reuse_pool=False`` a throwaway pool is used (the pre-policy
-    behaviour, kept for callers that must not leave worker processes
-    behind); the broadcast segment is still shared-memory backed and is
-    destroyed when the generator finishes or is closed.
+    becomes one task carrying only its items on the persistent pool for
+    ``workers``, and finished shards are yielded as soon as they land —
+    no barrier across the whole batch.
     """
     handle = publish_broadcast(obj, method, kwargs)
-    epoch = handle[0]
-    pool = get_pool(workers) if reuse_pool else ProcessPoolExecutor(max_workers=workers)
+    pool = get_pool(workers)
+    futures = {
+        pool.submit(_run_shard, handle, list(shard)): index
+        for index, shard in enumerate(shards)
+    }
     try:
-        futures = {
-            pool.submit(_run_shard, handle, list(shard)): index
-            for index, shard in enumerate(shards)
-        }
-        try:
-            for future in as_completed(futures):
-                yield futures[future], future.result()
-        except BrokenProcessPool:
-            # A worker died (crash, OOM kill, os._exit).  Dispose of the
-            # broken pool and all broadcast segments *before* propagating,
-            # so nothing leaks out of the failed run.
-            if reuse_pool:
-                discard_pool(workers)
-            _destroy_broadcast(epoch)
-            raise
-    finally:
-        if not reuse_pool:
-            pool.shutdown(wait=True, cancel_futures=True)
-            _destroy_broadcast(epoch)
+        for future in as_completed(futures):
+            yield futures[future], future.result()
+    except BrokenProcessPool:
+        # A worker died (crash, OOM kill, os._exit).  Dispose of the
+        # broken pool and the call's broadcast segment *before*
+        # propagating, so nothing leaks out of the failed run.
+        discard_pool(workers)
+        _destroy_broadcast(handle[0])
+        raise
 
 
 def run_broadcast_shards(
@@ -226,21 +212,13 @@ def run_broadcast_shards(
     shards: Sequence[Sequence[Any]],
     *,
     workers: int,
-    reuse_pool: bool = True,
-    on_shard: Optional[Callable[[int, List[Any]], None]] = None,
 ) -> List[List[Any]]:
-    """Gathering wrapper over :func:`iter_broadcast_shards`.
-
-    ``on_shard(index, results)`` fires as each shard lands (completion
-    order), while the returned list is always in shard order.
-    """
+    """Gathering wrapper over :func:`iter_broadcast_shards` (shard order)."""
     results: List[List[Any]] = [[] for _ in shards]
     for index, shard_result in iter_broadcast_shards(
-        obj, method, kwargs, shards, workers=workers, reuse_pool=reuse_pool
+        obj, method, kwargs, shards, workers=workers
     ):
         results[index] = shard_result
-        if on_shard is not None:
-            on_shard(index, shard_result)
     return results
 
 

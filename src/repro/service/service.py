@@ -29,23 +29,16 @@ its contents from the per-shard WAL + snapshots.
 
 from __future__ import annotations
 
-import copy
 import json
 import threading
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
 
 from repro.core.protocol import Annotator
-from repro.crf.batch import bucket_indices
+from repro.crf.batch import plan_batch
 from repro.index import SemanticsIndex
 from repro.mobility.records import MSemantics, PositioningSequence
-from repro.runtime import (
-    ExecutionPolicy,
-    Executor,
-    UNSET,
-    resolve_policy,
-    sequence_fingerprint,
-)
+from repro.runtime import ExecutionPolicy, Executor
 from repro.queries.tkfrpq import RegionPair, TkFRPQ
 from repro.queries.tkprq import TkPRQ
 from repro.service.session import StreamSession
@@ -69,7 +62,6 @@ class AnnotationService:
         window: int = DEFAULT_WINDOW,
         guard: Optional[int] = None,
         policy: Optional[ExecutionPolicy] = None,
-        backend: str = UNSET,
         indexed: bool = False,
     ):
         if not annotator.is_fitted:
@@ -83,11 +75,7 @@ class AnnotationService:
         self.store = store if store is not None else SemanticsStore()
         self.window = window
         self.guard = guard
-        self.policy = resolve_policy(
-            policy, backend=backend, owner="AnnotationService()"
-        )
-        # Legacy attribute, mirrored from the policy for older callers.
-        self.backend = self.policy.backend
+        self.policy = policy if policy is not None else ExecutionPolicy()
         self._sessions: Dict[str, StreamSession] = {}
         # Guards the service-level mutable state (the session registry and
         # index toggling) against concurrent callers — the HTTP front door
@@ -172,8 +160,6 @@ class AnnotationService:
         sequences: Sequence[PositioningSequence],
         *,
         policy: Optional[ExecutionPolicy] = None,
-        workers: Optional[int] = UNSET,
-        backend: Optional[str] = UNSET,
     ) -> List[List[MSemantics]]:
         """Annotate complete p-sequences and publish them to the store.
 
@@ -182,71 +168,43 @@ class AnnotationService:
         defaults to the service-level :class:`ExecutionPolicy`; a process
         policy shards length buckets across the persistent worker pool
         (the annotator is broadcast through shared memory), which is how
-        large backfills use every core.  Results are published through a
-        **chunked streaming gather**: each bucket's m-semantics land in the
-        store as soon as that bucket finishes decoding, so queries see a
-        long backfill progressively instead of after one big barrier.
-        Streaming sessions always decode in-process: their incremental
-        windows are far too small to amortise inter-process dispatch.
-
-        The legacy ``workers=``/``backend=`` keywords still work but emit
-        a :class:`DeprecationWarning`.
+        large backfills use every core.  Batched policies plan the batch
+        once with :func:`repro.crf.batch.plan_batch` (identical sequences
+        decode once; each duplicate publishes its own copy).  Results are
+        published through a **chunked streaming gather**: each bucket's
+        m-semantics land in the store as soon as that bucket finishes
+        decoding, so queries see a long backfill progressively instead of
+        after one big barrier.  Streaming sessions always decode
+        in-process: their incremental windows are far too small to
+        amortise inter-process dispatch.
         """
-        policy = resolve_policy(
-            policy,
-            workers=workers,
-            backend=backend,
-            default=self.policy,
-            owner="annotate_batch()",
-        )
+        executor = Executor(policy if policy is not None else self.policy)
+        policy = executor.policy
         sequences = list(sequences)
         results: List[List[MSemantics]] = [[] for _ in sequences]
-        executor = Executor(policy=policy)
-
-        def publish(position: int, entries: List[MSemantics]) -> None:
-            results[position] = entries
-            self.store.publish(sequences[position].object_id, entries)
-
         if policy.batch:
-            # Coalesce identical sequences (replayed traffic decodes once),
-            # then bucket the distinct ones by length for dispatch.
-            keys = [sequence_fingerprint(sequence) for sequence in sequences]
-            slot_of: Dict[str, int] = {}
-            positions_of: List[List[int]] = []
-            for position, key in enumerate(keys):
-                if key not in slot_of:
-                    slot_of[key] = len(positions_of)
-                    positions_of.append([])
-                positions_of[slot_of[key]].append(position)
-            uniques = [sequences[group[0]] for group in positions_of]
-            buckets = bucket_indices(
-                [len(unique) for unique in uniques],
-                policy.effective_bucket_size(len(uniques)),
-            )
-            items = [[uniques[slot] for slot in bucket] for bucket in buckets]
-            for start, stop, chunk in executor.map_broadcast_stream(
-                self.annotator, "annotate_bucket", items
-            ):
-                # Decoding runs unlocked (it is pure compute); each
-                # completed bucket's publishes are grouped under the
-                # service lock so they land atomically with respect to
-                # enable/disable_index and other batches.
-                with self._lock:
-                    for bucket, bucket_result in zip(buckets[start:stop], chunk):
-                        for slot, entries in zip(bucket, bucket_result):
-                            for extra, position in enumerate(positions_of[slot]):
-                                publish(
-                                    position,
-                                    entries if extra == 0
-                                    else copy.deepcopy(entries),
-                                )
+            plan = plan_batch(sequences, policy)
+            method, items = "annotate_bucket", plan.bucket_items()
+
+            def landed(start: int, stop: int, chunk: list):
+                return plan.fan_out(plan.buckets[start:stop], chunk)
+
         else:
-            for start, stop, chunk in executor.map_broadcast_stream(
-                self.annotator, "annotate", sequences
-            ):
-                with self._lock:
-                    for position, entries in zip(range(start, stop), chunk):
-                        publish(position, entries)
+            method, items = "annotate", sequences
+
+            def landed(start: int, stop: int, chunk: list):
+                return zip(range(start, stop), chunk)
+
+        chunks = executor.map_broadcast_stream(self.annotator, method, items)
+        for start, stop, chunk in chunks:
+            # Decoding runs unlocked (it is pure compute); each completed
+            # chunk's publishes are grouped under the service lock so they
+            # land atomically with respect to enable/disable_index and
+            # other batches.
+            with self._lock:
+                for position, entries in landed(start, stop, chunk):
+                    results[position] = entries
+                    self.store.publish(sequences[position].object_id, entries)
         return results
 
     # ---------------------------------------------------------- live queries
@@ -314,9 +272,6 @@ class AnnotationService:
             "format": SERVICE_FORMAT,
             "window": self.window,
             "guard": self.guard,
-            # "backend" is kept alongside the full policy so files written
-            # by this version still load on pre-policy code.
-            "backend": self.backend,
             "policy": self.policy.to_dict(),
             "indexed": getattr(self.store, "is_indexed", False),
             "annotator": annotator_to_dict(self.annotator),
@@ -350,17 +305,19 @@ class AnnotationService:
         service that died mid-stream comes back with everything it had
         durably published.  ``store_root`` relocates the durability root
         (for save files that moved between machines).
+
+        A file without a persisted policy, or whose policy names a backend
+        that no longer exists, raises :class:`ValueError`.
         """
         from repro.persistence.serializers import annotator_from_dict
 
         payload = json.loads(Path(path).read_text())
         if payload.get("format") != SERVICE_FORMAT:
             raise ValueError(f"not an annotation-service file: {path}")
+        if "policy" not in payload:
+            raise ValueError(f"{path} predates execution policies (no 'policy' entry)")
+        policy = ExecutionPolicy.from_dict(payload["policy"])
         annotator = annotator_from_dict(payload["annotator"], space, oracle=oracle)
-        if "policy" in payload:
-            policy = ExecutionPolicy.from_dict(payload["policy"])
-        else:  # pre-policy file: only the backend name was persisted
-            policy = ExecutionPolicy(backend=payload.get("backend", "thread"))
         store_config = payload.get("store")
         if store is None and store_config is not None and store_config.get("kind") == "sharded":
             # Imported lazily: repro.store imports this package's store

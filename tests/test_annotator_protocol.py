@@ -4,7 +4,7 @@ Every compared method — the full C2MN, each structural variant and each
 baseline — is run through the same parametrized checks: structural protocol
 membership, fitted-state bookkeeping, label shapes, annotate/merge
 consistency and the ``*_many`` batch contract (input order preserved,
-workers produce identical results).
+every execution policy produces identical results).
 
 Training here uses a deliberately tiny configuration: conformance is about
 the API contract, not annotation quality.
@@ -17,6 +17,9 @@ import pytest
 from repro.core import Annotator, AnnotatorBase, C2MNConfig, make_annotator
 from repro.core.variants import VARIANT_NAMES
 from repro.mobility.records import EVENTS, MSemantics
+from repro.runtime import ExecutionPolicy
+
+UNBATCHED = ExecutionPolicy.serial(batch=False)
 
 BASELINE_NAMES = ("SMoT", "HMM+DC", "SAPDV", "SAPDA")
 ALL_METHOD_NAMES = VARIANT_NAMES + ("C2MN@R",) + BASELINE_NAMES
@@ -75,10 +78,10 @@ class TestProtocolMembership:
             def annotate(self, sequence, *, region_grouping=None):
                 return []
 
-            def predict_labels_many(self, sequences, *, workers=None):
+            def predict_labels_many(self, sequences, *, policy=None):
                 return []
 
-            def annotate_many(self, sequences, *, workers=None, region_grouping=None):
+            def annotate_many(self, sequences, *, policy=None, region_grouping=None):
                 return []
 
         assert isinstance(Structural(), Annotator)
@@ -132,36 +135,59 @@ class TestBatchContract:
         sequences = [labeled.sequence for labeled in test.sequences]
         serial = [fitted_method.predict_labels(sequence) for sequence in sequences]
         assert fitted_method.predict_labels_many(sequences) == serial
-        assert fitted_method.predict_labels_many(sequences, workers=3) == serial
+        assert fitted_method.predict_labels_many(sequences, policy=UNBATCHED) == serial
 
     def test_annotate_many_match_serial(self, fitted_method, small_split):
         _, test = small_split
         sequences = [labeled.sequence for labeled in test.sequences]
         serial = [fitted_method.annotate(sequence) for sequence in sequences]
         assert fitted_method.annotate_many(sequences) == serial
-        assert fitted_method.annotate_many(sequences, workers=3) == serial
+        assert fitted_method.annotate_many(sequences, policy=UNBATCHED) == serial
 
     def test_empty_batch(self, fitted_method):
         assert fitted_method.predict_labels_many([]) == []
         assert fitted_method.annotate_many([]) == []
 
-    @pytest.mark.parametrize("bad_workers", [0, -1])
-    def test_invalid_workers_rejected(self, fitted_method, small_split, bad_workers):
+    @pytest.mark.parametrize("keyword", ["workers", "backend"])
+    def test_removed_keywords_rejected(self, fitted_method, small_split, keyword):
+        """The retired ``workers=``/``backend=`` spellings fail loudly,
+        whatever the batch size, instead of being silently converted."""
         _, test = small_split
         sequences = [labeled.sequence for labeled in test.sequences]
-        # Uniformly invalid regardless of batch size: full batch, single item
-        # (historically short-circuited past validation) and empty batch.
+        value = {"workers": 2, "backend": "process"}[keyword]
         for batch in (sequences, sequences[:1], []):
-            with pytest.raises(ValueError):
-                fitted_method.predict_labels_many(batch, workers=bad_workers)
-            with pytest.raises(ValueError):
-                fitted_method.annotate_many(batch, workers=bad_workers)
+            with pytest.raises(TypeError, match=keyword):
+                fitted_method.predict_labels_many(batch, **{keyword: value})
+            with pytest.raises(TypeError, match=keyword):
+                fitted_method.annotate_many(batch, **{keyword: value})
 
-    def test_invalid_backend_rejected(self, fitted_method, small_split):
+    def test_non_policy_rejected(self, fitted_method, small_split):
         _, test = small_split
         sequences = [labeled.sequence for labeled in test.sequences]
-        with pytest.raises(ValueError):
-            fitted_method.predict_labels_many(sequences, backend="gpu")
+        for batch in (sequences, []):
+            with pytest.raises(TypeError, match="ExecutionPolicy"):
+                fitted_method.predict_labels_many(batch, policy="process")
+            with pytest.raises(TypeError, match="ExecutionPolicy"):
+                fitted_method.annotate_many(batch, policy={"workers": 2})
+
+    @pytest.mark.parametrize(
+        "policy",
+        [ExecutionPolicy.serial(), ExecutionPolicy.processes(2)],
+        ids=["serial", "processes-2"],
+    )
+    def test_duplicated_batch_matches_serial(self, fitted_method, small_split, policy):
+        """Coalesced duplicates get the serial result at every position,
+        each as its own object."""
+        _, test = small_split
+        sequences = [labeled.sequence for labeled in test.sequences]
+        batch = sequences + sequences[::-1] + sequences[:1]
+        labels = fitted_method.predict_labels_many(batch, policy=policy)
+        assert labels == [fitted_method.predict_labels(sequence) for sequence in batch]
+        semantics = fitted_method.annotate_many(batch, policy=policy)
+        assert semantics == [fitted_method.annotate(sequence) for sequence in batch]
+        entries = [entry for result in semantics for entry in result]
+        assert len({id(entry) for entry in entries}) == len(entries)
+        assert len({id(regions) for regions, _ in labels}) == len(batch)
 
 
 class TestProcessBackendDeterminism:
@@ -178,9 +204,9 @@ class TestProcessBackendDeterminism:
     ):
         _, test = small_split
         sequences = [labeled.sequence for labeled in test.sequences]
-        serial = fitted_method.predict_labels_many(sequences, backend="serial")
+        serial = fitted_method.predict_labels_many(sequences, policy=ExecutionPolicy.serial())
         sharded = fitted_method.predict_labels_many(
-            sequences, workers=workers, backend="process"
+            sequences, policy=ExecutionPolicy.processes(workers)
         )
         assert sharded == serial
 
@@ -190,9 +216,9 @@ class TestProcessBackendDeterminism:
     ):
         _, test = small_split
         sequences = [labeled.sequence for labeled in test.sequences]
-        serial = fitted_method.annotate_many(sequences, backend="serial")
+        serial = fitted_method.annotate_many(sequences, policy=ExecutionPolicy.serial())
         sharded = fitted_method.annotate_many(
-            sequences, workers=workers, backend="process"
+            sequences, policy=ExecutionPolicy.processes(workers)
         )
         assert sharded == serial
 
@@ -203,18 +229,17 @@ class TestProcessBackendDeterminism:
         sequences = [labeled.sequence for labeled in test.sequences]
         grouping = {region_id: region_id for region_id in small_space.region_ids}
         serial = fitted_method.annotate_many(
-            sequences, backend="serial", region_grouping=grouping
+            sequences, policy=ExecutionPolicy.serial(), region_grouping=grouping
         )
         sharded = fitted_method.annotate_many(
-            sequences, workers=2, backend="process", region_grouping=grouping
+            sequences, policy=ExecutionPolicy.processes(2), region_grouping=grouping
         )
         assert sharded == serial
 
-    def test_thread_backend_matches_serial(self, fitted_method, small_split):
+    def test_unbatched_process_matches_serial(self, fitted_method, small_split):
+        """The per-sequence fallback layout, sharded across processes."""
         _, test = small_split
         sequences = [labeled.sequence for labeled in test.sequences]
-        serial = fitted_method.predict_labels_many(sequences, backend="serial")
-        threaded = fitted_method.predict_labels_many(
-            sequences, workers=3, backend="thread"
-        )
-        assert threaded == serial
+        serial = [fitted_method.predict_labels(sequence) for sequence in sequences]
+        policy = ExecutionPolicy.processes(2, batch=False)
+        assert fitted_method.predict_labels_many(sequences, policy=policy) == serial

@@ -1,4 +1,4 @@
-"""Batch/parallel annotation: ``annotate_many`` workers and the harness pool.
+"""Batch/parallel annotation: ``annotate_many`` policies and the harness pool.
 
 Parallel labeling must be a pure throughput knob: same results, same order
 as the serial path, for any worker count.
@@ -8,6 +8,9 @@ import pytest
 
 from repro.core import C2MNAnnotator
 from repro.evaluation.harness import MethodEvaluator
+from repro.runtime import ExecutionPolicy
+
+PARALLEL = ExecutionPolicy.processes(2)
 
 
 @pytest.fixture(scope="module")
@@ -21,30 +24,27 @@ class TestPredictLabelsMany:
         serial = [fitted_annotator.predict_labels(s) for s in test_sequences]
         assert fitted_annotator.predict_labels_many(test_sequences) == serial
         assert (
-            fitted_annotator.predict_labels_many(test_sequences, workers=3) == serial
+            fitted_annotator.predict_labels_many(test_sequences, policy=PARALLEL)
+            == serial
         )
 
     def test_order_preserved_under_parallelism(self, fitted_annotator, test_sequences):
         # Length is a per-sequence fingerprint: result k must belong to input k.
-        results = fitted_annotator.predict_labels_many(test_sequences, workers=4)
+        results = fitted_annotator.predict_labels_many(test_sequences, policy=PARALLEL)
         for sequence, (regions, events) in zip(test_sequences, results):
             assert len(regions) == len(sequence)
             assert len(events) == len(sequence)
 
     def test_empty_batch(self, fitted_annotator):
         assert fitted_annotator.predict_labels_many([]) == []
-        assert fitted_annotator.predict_labels_many([], workers=4) == []
+        assert fitted_annotator.predict_labels_many([], policy=PARALLEL) == []
 
 
 class TestAnnotateMany:
     def test_matches_serial_annotation(self, fitted_annotator, test_sequences):
         serial = [fitted_annotator.annotate(s) for s in test_sequences]
         assert fitted_annotator.annotate_many(test_sequences) == serial
-        assert fitted_annotator.annotate_many(test_sequences, workers=3) == serial
-
-    def test_invalid_worker_count_rejected(self, fitted_annotator, test_sequences):
-        with pytest.raises(ValueError, match="workers"):
-            fitted_annotator.annotate_many(test_sequences, workers=0)
+        assert fitted_annotator.annotate_many(test_sequences, policy=PARALLEL) == serial
 
 
 class TestEvaluatorWorkers:
@@ -53,17 +53,13 @@ class TestEvaluatorWorkers:
         serial = MethodEvaluator(keep_predictions=True).evaluate(
             fitted_annotator, train.sequences, test.sequences, fit=False
         )
-        parallel = MethodEvaluator(keep_predictions=True, workers=3).evaluate(
+        parallel = MethodEvaluator(keep_predictions=True, policy=PARALLEL).evaluate(
             fitted_annotator, train.sequences, test.sequences, fit=False
         )
         assert parallel.scores == serial.scores
         for serial_pred, parallel_pred in zip(serial.predictions, parallel.predictions):
             assert serial_pred.region_labels == parallel_pred.region_labels
             assert serial_pred.event_labels == parallel_pred.event_labels
-
-    def test_invalid_worker_count_rejected(self):
-        with pytest.raises(ValueError, match="workers"):
-            MethodEvaluator(workers=0)
 
 
 class TestEngineSwitch:

@@ -4,7 +4,7 @@ The batched ``*_many`` pipeline — duplicate coalescing, length bucketing,
 the lockstep bucket ICM of :func:`repro.crf.batch.decode_icm_many` — must
 be *bitwise* identical to the per-sequence loop it accelerates, for every
 compared method (all C2MN variants and all baselines), every ragged batch
-shape, and every backend/worker combination.  These tests pin that
+shape, and every process worker count.  These tests pin that
 contract; a single differing label anywhere is a correctness bug.
 """
 
@@ -14,7 +14,7 @@ import pytest
 
 from repro.core import C2MNConfig, make_annotator
 from repro.core.variants import VARIANT_NAMES
-from repro.crf.batch import bucket_indices, decode_icm_many
+from repro.crf.batch import bucket_indices, decode_icm_many, plan_batch
 from repro.crf.inference import decode_icm
 from repro.runtime import ExecutionPolicy
 
@@ -85,6 +85,38 @@ class TestBucketIndices:
 
 
 # --------------------------------------------------------------------------
+# plan_batch: coalesce, then bucket
+# --------------------------------------------------------------------------
+class TestPlanBatch:
+    def test_coalesces_then_buckets(self, ragged_batch):
+        plan = plan_batch(ragged_batch)
+        assert len(plan.uniques) == len(set(map(id, plan.uniques)))
+        assert sorted(p for group in plan.positions for p in group) == list(
+            range(len(ragged_batch))
+        )
+        for unique, group in zip(plan.uniques, plan.positions):
+            assert all(ragged_batch[position] is unique for position in group)
+        flat = sorted(slot for bucket in plan.buckets for slot in bucket)
+        assert flat == list(range(len(plan.uniques)))
+
+    def test_parallel_policy_splits_buckets(self, ragged_batch):
+        plan = plan_batch(ragged_batch, ExecutionPolicy.processes(4))
+        assert all(len(bucket) == 1 for bucket in plan.buckets)
+
+    def test_scatter_restores_input_order_and_copies_duplicates(self, ragged_batch):
+        plan = plan_batch(ragged_batch)
+        results = plan.scatter([[[slot] for slot in bucket] for bucket in plan.buckets])
+        for slot, group in enumerate(plan.positions):
+            assert all(results[position] == [slot] for position in group)
+            copies = {id(results[position]) for position in group}
+            assert len(copies) == len(group)
+
+    def test_empty_batch(self):
+        plan = plan_batch([])
+        assert (plan.uniques, plan.positions, plan.buckets) == ([], [], [])
+
+
+# --------------------------------------------------------------------------
 # decode_icm_many against the per-sequence decoder
 # --------------------------------------------------------------------------
 class TestDecodeIcmMany:
@@ -94,7 +126,7 @@ class TestDecodeIcmMany:
         train, test = small_split
         annotator.fit(train.sequences[:2])
         datas = [
-            annotator._prepared(labeled.sequence) for labeled in test.sequences
+            annotator.prepare(labeled.sequence) for labeled in test.sequences
         ]
         return annotator._engine, datas
 
@@ -147,9 +179,14 @@ class TestBatchedManyBitwise:
     def test_tiny_buckets_force_ragged_tails(
         self, fitted_method, ragged_batch, bucket_size
     ):
-        expected = fitted_method.annotate_many(ragged_batch, policy=UNBATCHED)
-        policy = ExecutionPolicy.serial(bucket_size=bucket_size)
-        assert fitted_method.annotate_many(ragged_batch, policy=policy) == expected
+        expected = fitted_method.predict_labels_many(ragged_batch, policy=UNBATCHED)
+        buckets = bucket_indices([len(s) for s in ragged_batch], bucket_size)
+        assert len(buckets[-1]) <= bucket_size
+        for bucket in buckets:
+            labels = fitted_method.predict_labels_batch(
+                [ragged_batch[position] for position in bucket]
+            )
+            assert labels == [expected[position] for position in bucket]
 
     def test_empty_batch(self, fitted_method):
         assert fitted_method.annotate_many([], policy=BATCHED) == []
@@ -199,19 +236,8 @@ class TestCrossBackendDeterminism:
         annotator.fit(train.sequences[:2])
         return annotator
 
-    @pytest.mark.parametrize("workers", [2, 3, 4])
-    def test_thread_backend_bitwise(self, c2mn, ragged_batch, workers):
-        expected = c2mn.annotate_many(ragged_batch, policy=UNBATCHED)
-        policy = ExecutionPolicy.threads(workers)
-        assert c2mn.annotate_many(ragged_batch, policy=policy) == expected
-
     @pytest.mark.parametrize("workers", [2, 4])
     def test_process_backend_bitwise(self, c2mn, ragged_batch, workers):
         expected = c2mn.annotate_many(ragged_batch, policy=UNBATCHED)
         policy = ExecutionPolicy.processes(workers)
         assert c2mn.annotate_many(ragged_batch, policy=policy) == expected
-
-    def test_process_without_pool_reuse_bitwise(self, c2mn, ragged_batch):
-        expected = c2mn.predict_labels_many(ragged_batch, policy=UNBATCHED)
-        policy = ExecutionPolicy.processes(2, reuse_pool=False)
-        assert c2mn.predict_labels_many(ragged_batch, policy=policy) == expected

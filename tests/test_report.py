@@ -56,8 +56,6 @@ def _runtime_report(*, process_speedup=6.0):
         "runtime",
         [
             _row("annotate_many", phase="steady", speedup=1.0, seconds=2.0),
-            _row("annotate_many", backend="thread", workers=4,
-                 phase="steady", speedup=3.5, seconds=0.57),
             _row("annotate_many", backend="process", workers=4,
                  phase="steady", speedup=process_speedup, seconds=0.33),
             _row("annotate_many_batched", phase="steady",

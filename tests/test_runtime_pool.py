@@ -29,6 +29,7 @@ from repro.runtime import (
 )
 from repro.runtime.pool import (
     _MAX_BROADCASTS,
+    get_pool,
     publish_broadcast,
     run_broadcast_shards,
 )
@@ -65,25 +66,20 @@ class TestPoolReuse:
     def test_pool_persists_across_calls(self):
         shards = [[1], [2], [3]]
         first = run_broadcast_shards(_Worker(), "pid_of", {}, shards, workers=2)
+        pool = get_pool(2)
+        spawned = set(pool._processes)
         second = run_broadcast_shards(_Worker(), "pid_of", {}, shards, workers=2)
         assert active_pool_workers() == [2]
-        # The second call was served by the same worker processes — no
-        # respawn.  (Subset, not equality: tiny tasks may all land on one
-        # worker.)
-        assert _worker_pids(second) <= _worker_pids(first)
+        assert get_pool(2) is pool
+        # Both calls were served by the pool's original worker processes —
+        # no respawn.  (Compared with the pool's processes, not the first
+        # call's: tiny tasks may all land on one worker.)
+        assert _worker_pids(first) | _worker_pids(second) <= spawned
 
     def test_distinct_worker_counts_get_distinct_pools(self):
         run_broadcast_shards(_Worker(), "pid_of", {}, [[1]], workers=1)
         run_broadcast_shards(_Worker(), "pid_of", {}, [[1]], workers=2)
         assert active_pool_workers() == [1, 2]
-
-    def test_reuse_pool_false_leaves_no_persistent_pool(self):
-        results = run_broadcast_shards(
-            _Worker(), "pid_of", {}, [[1], [2]], workers=2, reuse_pool=False
-        )
-        assert [item for shard in results for (_, _, item) in shard] == [1, 2]
-        assert active_pool_workers() == []
-        assert active_broadcast_epochs() == []
 
 
 class TestBroadcasts:

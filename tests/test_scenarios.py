@@ -50,6 +50,7 @@ from repro.scenarios import (
 )
 from repro.scenarios.__main__ import main as scenarios_main
 from repro.service import replay_scenario
+from repro.runtime import ExecutionPolicy
 
 
 # ---------------------------------------------------------------- specs
@@ -703,17 +704,14 @@ class TestCrossBackendScenarioDeterminism:
         )
         annotator.fit(train.sequences)
         decode = [labeled.sequence for labeled in test.sequences]
-        serial = annotator.predict_labels_many(decode, backend="serial")
+        serial = annotator.predict_labels_many(decode, policy=ExecutionPolicy.serial())
         return annotator, decode, serial
 
-    @pytest.mark.parametrize("backend", ["thread", "process"])
     @pytest.mark.parametrize("workers", [2, 3])
-    def test_backends_match_serial_bitwise(
-        self, scenario_annotator_and_decode, backend, workers
-    ):
+    def test_backends_match_serial_bitwise(self, scenario_annotator_and_decode, workers):
         annotator, decode, serial = scenario_annotator_and_decode
         sharded = annotator.predict_labels_many(
-            decode, workers=workers, backend=backend
+            decode, policy=ExecutionPolicy.processes(workers)
         )
         assert sharded == serial
 

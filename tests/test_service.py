@@ -19,6 +19,7 @@ from repro.analytics.behaviour import conversion_rates
 from repro.mobility.records import PositioningSequence
 from repro.queries.tkfrpq import TkFRPQ
 from repro.queries.tkprq import TkPRQ
+from repro.runtime import ExecutionPolicy
 from repro.service import AnnotationService, SemanticsStore, StreamSession
 
 
@@ -257,6 +258,45 @@ class TestLiveQueries:
         service.annotate_batch([labeled.sequence for labeled in test.sequences])
         stats = conversion_rates(service.store)
         assert stats, "batch-published semantics must produce analytics"
+
+
+class _RecordingStore(SemanticsStore):
+    """A store that remembers every ``entries`` list it was handed."""
+
+    def __init__(self):
+        super().__init__()
+        self.published = []
+
+    def publish(self, object_id, semantics):
+        self.published.append(semantics)
+        super().publish(object_id, semantics)
+
+
+class TestAnnotateBatch:
+    @pytest.mark.parametrize(
+        "policy",
+        [
+            ExecutionPolicy.serial(),
+            ExecutionPolicy.serial(batch=False),
+            ExecutionPolicy.processes(2),
+        ],
+        ids=["serial-batched", "unbatched", "processes-2"],
+    )
+    def test_duplicates_publish_every_position_without_sharing(
+        self, fitted_annotator, short_sequences, policy
+    ):
+        first, second = short_sequences[:2]
+        batch = [first, second, first, second, first]
+        store = _RecordingStore()
+        service = AnnotationService(fitted_annotator, store=store)
+        results = service.annotate_batch(batch, policy=policy)
+
+        assert results == fitted_annotator.annotate_many(batch)
+        # Every input position was published exactly once, as its own list.
+        assert sorted(map(id, store.published)) == sorted(map(id, results))
+        # Duplicates never share result lists or MSemantics objects.
+        entries = [entry for result in results for entry in result]
+        assert len({id(entry) for entry in entries}) == len(entries)
 
 
 class TestServiceIndex:
